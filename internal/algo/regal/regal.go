@@ -300,13 +300,9 @@ func (r *REGAL) embedCached(ctx context.Context, src, dst *graph.Graph) (*matrix
 func ExpKernel(d2 float64) float64 { return math.Exp(-d2) }
 
 // EmbeddingSimilarity converts two embedding matrices into the similarity
-// matrix exp(-squared Euclidean distance) used by REGAL and CONE. The
-// squared distances come from the shared row-blocked kernel, keeping results
-// bitwise identical to the original serial loop for any worker count.
+// matrix exp(-squared Euclidean distance) used by REGAL and CONE. It is the
+// ExpKernel embedding's row-blocked materialization, so the dense path and
+// the sparse pipeline's fallback agree bitwise for any worker count.
 func EmbeddingSimilarity(ySrc, yDst *matrix.Dense) *matrix.Dense {
-	sim := matrix.PairwiseSqDist(ySrc, yDst)
-	for i, d2 := range sim.Data {
-		sim.Data[i] = ExpKernel(d2)
-	}
-	return sim
+	return (&assign.Embedding{Src: ySrc, Dst: yDst, SimFromDist2: ExpKernel}).Similarity()
 }

@@ -3,6 +3,8 @@ package assign
 import (
 	"fmt"
 	"testing"
+
+	"graphalign/internal/matrix"
 )
 
 // Benchmarks backing BENCH_assign.json (see scripts/bench_assign.sh): the
@@ -15,14 +17,50 @@ func benchSizes() []int { return []int{256, 512, 1024, 2048} }
 
 func BenchmarkSolveJV(b *testing.B) {
 	for _, n := range benchSizes() {
-		sim := randomSim(n, n, int64(n))
-		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				SolveJV(sim)
-			}
-		})
+		benchSolve(b, fmt.Sprintf("n%d", n), randomSim(n, n, int64(n)), SolveJV)
 	}
+	benchLowRank(b, SolveJV)
+}
+
+// BenchmarkSolveJVReference is the per-element reference formulation on the
+// tie-heavy cases, for before/after comparison with SolveJV.
+func BenchmarkSolveJVReference(b *testing.B) {
+	benchLowRank(b, solveJVReference)
+}
+
+// benchLowRank runs solve on lowRankSim at n=1024 and 2048: most rows stay
+// free after the reduction phases, the regime of the sparse pipeline's exact
+// fallback on NSD/REGAL similarities, which uniform random matrices never
+// reach.
+func benchLowRank(b *testing.B, solve func(*matrix.Dense) []int) {
+	for _, n := range []int{1024, 2048} {
+		benchSolve(b, fmt.Sprintf("lowrank/n%d", n), lowRankSim(n, int64(n)), solve)
+	}
+}
+
+// BenchmarkSolveHungarian is the paper's MWM solver (LREA's assignment
+// stage), beside its per-element reference formulation.
+func BenchmarkSolveHungarian(b *testing.B) {
+	for _, n := range []int{256, 1024} {
+		benchSolve(b, fmt.Sprintf("n%d", n), randomSim(n, n, int64(n)), SolveHungarian)
+	}
+	benchSolve(b, "lowrank/n1024", lowRankSim(1024, 1024), SolveHungarian)
+}
+
+func BenchmarkSolveHungarianReference(b *testing.B) {
+	for _, n := range []int{256, 1024} {
+		benchSolve(b, fmt.Sprintf("n%d", n), randomSim(n, n, int64(n)), solveHungarianReference)
+	}
+	benchSolve(b, "lowrank/n1024", lowRankSim(1024, 1024), solveHungarianReference)
+}
+
+func benchSolve(b *testing.B, name string, sim *matrix.Dense, solve func(*matrix.Dense) []int) {
+	b.Run(name, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			solve(sim)
+		}
+	})
 }
 
 func BenchmarkAuctionPipeline(b *testing.B) {

@@ -125,13 +125,34 @@ type Embedding struct {
 // Similarity materializes the full dense similarity matrix from the
 // embedding — the fallback of the sparse pipeline when the candidate graph
 // is unmatchable, and bitwise what the aligner's own dense path computes
-// (same row-major squared-distance accumulation order).
+// (same row-major squared-distance accumulation order). Rows are blocked
+// across the worker pool, each computed start to finish — distances by
+// matrix.SqDistInto, then mapped through SimFromDist2 — by one goroutine, so
+// the result is bitwise identical for any worker count. SimFromDist2 must
+// therefore be safe for concurrent use.
 func (e *Embedding) Similarity() *matrix.Dense {
-	sim := matrix.PairwiseSqDist(e.Src, e.Dst)
-	for i, d2 := range sim.Data {
-		sim.Data[i] = e.SimFromDist2(d2)
-	}
+	sim := matrix.NewDense(e.Src.Rows, e.Dst.Rows)
+	parallel.Blocks(materializeWorkers(sim.Rows*sim.Cols*e.Src.Cols), sim.Rows, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			row := sim.Row(i)
+			matrix.SqDistInto(row, e.Src.Row(i), e.Dst)
+			for j, d2 := range row {
+				row[j] = e.SimFromDist2(d2)
+			}
+		}
+	})
 	return sim
+}
+
+// materializeWorkers is the worker count for densifying a similarity that
+// costs about flops multiply-adds: the whole pool from matrix.ParallelFlops
+// on, the gate of the matrix kernels (so Embedding.Similarity fans out
+// exactly when PairwiseSqDist does), inline below it.
+func materializeWorkers(flops int) int {
+	if flops >= matrix.ParallelFlops {
+		return 0
+	}
+	return 1
 }
 
 // bruteForceDim is the embedding width at and above which TopKEmbedding

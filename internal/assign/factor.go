@@ -61,12 +61,16 @@ func (f *FactorEmbedding) weight(t int) float64 {
 // Similarity materializes the dense similarity matrix from the factors —
 // the fallback of the sparse pipeline when the candidate graph is
 // unmatchable, and bitwise what the aligner's own dense path computes (the
-// same AddOuterScaled calls in the same term order).
+// same accumulation as AddOuterScaled calls in term order). Rows are
+// blocked across the worker pool and each is accumulated by factorScoreRow,
+// term-ascending, so the result is bitwise identical for any worker count.
 func (f *FactorEmbedding) Similarity() *matrix.Dense {
 	sim := matrix.NewDense(f.Rows(), f.Cols())
-	for t := range f.Us {
-		sim.AddOuterScaled(f.Us[t], f.Vs[t], f.weight(t))
-	}
+	parallel.Blocks(materializeWorkers(sim.Rows*sim.Cols*f.Rank()), sim.Rows, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			factorScoreRow(f, i, sim.Row(i))
+		}
+	})
 	return sim
 }
 

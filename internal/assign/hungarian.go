@@ -24,40 +24,31 @@ func SolveHungarian(sim *matrix.Dense) []int {
 	v := make([]float64, m+1)
 	p := make([]int, m+1) // p[j] = row matched to column j (0 = none)
 	way := make([]int, m+1)
+	minv := make([]float64, m+1)
+	used := make([]bool, m+1)
+	usedCols := make([]int, 0, m+1) // the columns marked used, in order
 	for i := 1; i <= n; i++ {
 		p[0] = i
 		j0 := 0
-		minv := make([]float64, m+1)
-		used := make([]bool, m+1)
 		for j := range minv {
 			minv[j] = inf
+			used[j] = false
 		}
+		usedCols = usedCols[:0]
 		for {
 			used[j0] = true
+			usedCols = append(usedCols, j0)
 			i0 := p[j0]
-			delta := inf
-			j1 := 0
-			for j := 1; j <= m; j++ {
-				if used[j] {
-					continue
-				}
-				cur := -sim.At(i0-1, j-1) - u[i0] - v[j]
-				if cur < minv[j] {
-					minv[j] = cur
-					way[j] = j0
-				}
-				if minv[j] < delta {
-					delta = minv[j]
-					j1 = j
-				}
+			delta, j1 := hungarianRelax(sim.Row(i0-1), u[i0], j0, v, minv, way, used)
+			// Used columns hold distinct rows, so these updates commute.
+			for _, j := range usedCols {
+				u[p[j]] += delta
+				v[j] -= delta
 			}
-			for j := 0; j <= m; j++ {
-				if used[j] {
-					u[p[j]] += delta
-					v[j] -= delta
-				} else {
-					minv[j] -= delta
-				}
+			// minv of used columns is never read again before the next
+			// row resets it, so it is updated branch-free with the rest.
+			for j := range minv {
+				minv[j] -= delta
 			}
 			j0 = j1
 			if p[j0] == 0 {
@@ -77,4 +68,32 @@ func SolveHungarian(sim *matrix.Dense) []int {
 		}
 	}
 	return mapping
+}
+
+// hungarianRelax is SolveHungarian's inner scan for row i0 (similarities
+// row, potential ui), reached through column j0: it lowers minv/way of every
+// unused column through row i0 and returns the smallest minv over the unused
+// columns and the first column attaining it. The arrays are 1-based as in
+// SolveHungarian; column j's cost is -row[j-1].
+func hungarianRelax(row []float64, ui float64, j0 int, v, minv []float64, way []int, used []bool) (float64, int) {
+	// The shifted views index the 1-based arrays by the 0-based column and
+	// share row's bound, so one bounds check covers them all.
+	v, minv, way, used = v[1:][:len(row)], minv[1:][:len(row)], way[1:][:len(row)], used[1:][:len(row)]
+	delta := math.Inf(1)
+	j1 := 0
+	for j, s := range row {
+		if used[j] {
+			continue
+		}
+		cur := -s - ui - v[j]
+		if cur < minv[j] {
+			minv[j] = cur
+			way[j] = j0
+		}
+		if minv[j] < delta {
+			delta = minv[j]
+			j1 = j + 1
+		}
+	}
+	return delta, j1
 }

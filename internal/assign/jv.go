@@ -11,22 +11,40 @@ import (
 // preprocessing phase followed by shortest augmenting paths for the rows
 // left unassigned. For square dense problems it visits far fewer augmenting
 // paths than the plain Hungarian algorithm, which is why the paper adopts it
-// as the common assignment stage.
+// as the common assignment stage; it is also the exact fallback of the
+// sparse pipeline (SolveSparse) when the candidate graph is unmatchable.
 //
 // The matrix may be rectangular with Rows <= Cols; internally it is padded
 // to square with zero similarity. mapping[i] is the column assigned to row i.
+//
+// Cost model: the shortest-augmenting-path phase scans one O(n) row per
+// column it settles, for every row left free by the reduction phases, so
+// tie-heavy matrices (many equivalent rows, hence many free rows) dominate
+// the run time. The kernels read each row's similarity slice directly and
+// perform every comparison and arithmetic operation in the order of the
+// textbook per-element formulation, so the mapping — and the duals — are
+// bitwise those of that formulation (pinned against a verbatim reference
+// copy by TestSolveJVMatchesReference).
 func SolveJV(sim *matrix.Dense) []int {
 	nRows, nCols := sim.Rows, sim.Cols
 	if nRows == 0 {
 		return nil
 	}
 	n := nCols // pad rows up to square
-	// cost[i][j] = -sim for real rows; 0 for padding rows.
-	cost := func(i, j int) float64 {
-		if i < nRows {
-			return -sim.At(i, j)
+	// The cost of (i, j) is -simRow(i)[j]. Padding rows share one row of
+	// negative zeros, whose negation is exactly the +0 a padding row costs.
+	var pad []float64
+	if nRows < n {
+		pad = make([]float64, n)
+		for j := range pad {
+			pad[j] = math.Copysign(0, -1)
 		}
-		return 0
+	}
+	simRow := func(i int) []float64 {
+		if i < nRows {
+			return sim.Data[i*n : (i+1)*n : (i+1)*n]
+		}
+		return pad
 	}
 
 	inf := math.Inf(1)
@@ -34,27 +52,36 @@ func SolveJV(sim *matrix.Dense) []int {
 	colsol := make([]int, n) // row assigned to column
 	u := make([]float64, n)  // row potentials (dual)
 	v := make([]float64, n)  // column potentials (dual)
+	d := make([]float64, n)
+	pred := make([]int, n)
+	colList := make([]int, n)
 	for i := range rowsol {
 		rowsol[i] = -1
 		colsol[i] = -1
 	}
 
 	// --- Column reduction ---
-	matches := 0
-	for j := n - 1; j >= 0; j-- {
-		minVal := cost(0, j)
-		iMin := 0
-		for i := 1; i < n; i++ {
-			if c := cost(i, j); c < minVal {
-				minVal = c
-				iMin = i
+	// v[j] becomes column j's minimum cost and pred[j] its first minimizing
+	// row: rows are visited in ascending order with a strict <, so each
+	// column picks the same row as a column-by-column scan would.
+	for j, s := range simRow(0) {
+		v[j] = -s
+		pred[j] = 0
+	}
+	for i := 1; i < n; i++ {
+		row := simRow(i)
+		vr, iMin := v[:len(row)], pred[:len(row)]
+		for j, s := range row {
+			if c := -s; c < vr[j] {
+				vr[j] = c
+				iMin[j] = i
 			}
 		}
-		v[j] = minVal
-		if rowsol[iMin] == -1 {
+	}
+	for j := n - 1; j >= 0; j-- {
+		if iMin := pred[j]; rowsol[iMin] == -1 {
 			rowsol[iMin] = j
 			colsol[j] = iMin
-			matches++
 		}
 	}
 
@@ -71,10 +98,12 @@ func SolveJV(sim *matrix.Dense) []int {
 		var nextFree []int
 		for _, i := range free {
 			// Find the two smallest reduced costs in row i.
+			row := simRow(i)
+			vr := v[:len(row)]
 			min1, min2 := inf, inf
 			j1, j2 := -1, -1
-			for j := 0; j < n; j++ {
-				red := cost(i, j) - v[j]
+			for j, s := range row {
+				red := -s - vr[j]
 				if red < min1 {
 					min2, j2 = min1, j1
 					min1, j1 = red, j
@@ -110,14 +139,13 @@ func SolveJV(sim *matrix.Dense) []int {
 	}
 
 	// --- Shortest augmenting paths for remaining free rows ---
-	d := make([]float64, n)
-	pred := make([]int, n)
-	colList := make([]int, n)
 	for _, freeRow := range free {
-		for j := 0; j < n; j++ {
-			d[j] = cost(freeRow, j) - v[j]
-			pred[j] = freeRow
-			colList[j] = j
+		row := simRow(freeRow)
+		vr, dr, pr, cl := v[:len(row)], d[:len(row)], pred[:len(row)], colList[:len(row)]
+		for j, s := range row {
+			dr[j] = -s - vr[j]
+			pr[j] = freeRow
+			cl[j] = j
 		}
 		low, up := 0, 0 // columns in colList[:low] are scanned, [low:up] to scan with min d
 		var endOfPath = -1
@@ -153,23 +181,7 @@ func SolveJV(sim *matrix.Dense) []int {
 			j1 := colList[low]
 			low++
 			i := colsol[j1]
-			h := cost(i, j1) - v[j1] - minD
-			for k := up; k < n; k++ {
-				j := colList[k]
-				nd := cost(i, j) - v[j] - h
-				if nd < d[j] {
-					d[j] = nd
-					pred[j] = i
-					if nd == minD {
-						if colsol[j] == -1 {
-							endOfPath = j
-							break
-						}
-						colList[k], colList[up] = colList[up], colList[k]
-						up++
-					}
-				}
-			}
+			endOfPath, up = jvScan(simRow(i), i, j1, minD, v, d, pred, colsol, colList, up)
 		}
 		// Update column potentials for scanned columns.
 		for k := 0; k < low; k++ {
@@ -190,4 +202,32 @@ func SolveJV(sim *matrix.Dense) []int {
 	mapping := make([]int, nRows)
 	copy(mapping, rowsol[:nRows])
 	return mapping
+}
+
+// jvScan scans column j1, held by row i whose similarities are row: it
+// relaxes d and pred of every unscanned column cl[up:] through it and moves
+// the columns that reach minD into the to-scan set. It returns the first
+// such column that is unassigned (the end of an augmenting path, or -1) and
+// the new up. This loop is where SolveJV spends its time; it is a separate
+// function so that its state stays in registers.
+func jvScan(row []float64, i, j1 int, minD float64, v, d []float64, pred, colsol, cl []int, up int) (int, int) {
+	// Re-slicing to len(row) lets one bounds check on row[j] cover the rest.
+	v, d, pred, colsol = v[:len(row)], d[:len(row)], pred[:len(row)], colsol[:len(row)]
+	h := -row[j1] - v[j1] - minD
+	for k := up; k < len(cl); k++ {
+		j := cl[k]
+		nd := -row[j] - v[j] - h
+		if nd < d[j] {
+			d[j] = nd
+			pred[j] = i
+			if nd == minD {
+				if colsol[j] == -1 {
+					return j, up
+				}
+				cl[k], cl[up] = cl[up], cl[k]
+				up++
+			}
+		}
+	}
+	return -1, up
 }

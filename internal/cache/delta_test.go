@@ -124,7 +124,7 @@ func TestLaplacianEigsDeltaMatchesMonolithic(t *testing.T) {
 // A connected graph must share the monolithic key, keeping delta and plain
 // paths bitwise-identical there.
 func TestLaplacianEigsDeltaConnectedDelegates(t *testing.T) {
-	g := graph.MustNew(5, []graph.Edge{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}})
+	g := graph.MustNew(5, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}, {U: 4, V: 0}})
 	c := New(0)
 	ctx := context.Background()
 	dv, dvec, err := LaplacianEigsDelta(ctx, c, g, 3, 7)

@@ -10,12 +10,13 @@ import (
 	"graphalign/internal/parallel"
 )
 
-// parallelFlops is the approximate multiply-add count above which the
-// multiplication kernels fan rows out across the worker pool. Below it the
+// ParallelFlops is the approximate multiply-add count above which the
+// multiplication kernels (and the row-blocked similarity materializers in
+// internal/assign) fan rows out across the worker pool. Below it the
 // goroutine handoff costs more than it saves. Row-blocked parallelism keeps
 // results bitwise identical to the serial kernels: each output row is
 // computed by exactly one goroutine in the same inner-loop order.
-const parallelFlops = 1 << 21
+const ParallelFlops = 1 << 21
 
 // Dense is a row-major dense matrix of float64.
 type Dense struct {
@@ -134,7 +135,7 @@ func Mul(a, b *Dense) *Dense {
 			}
 		}
 	}
-	if work := a.Rows * a.Cols * b.Cols; work >= parallelFlops {
+	if work := a.Rows * a.Cols * b.Cols; work >= ParallelFlops {
 		parallel.Blocks(0, a.Rows, mulRows)
 	} else {
 		mulRows(0, a.Rows)
@@ -164,7 +165,7 @@ func MulABT(a, b *Dense) *Dense {
 			}
 		}
 	}
-	if work := a.Rows * a.Cols * b.Rows; work >= parallelFlops {
+	if work := a.Rows * a.Cols * b.Rows; work >= ParallelFlops {
 		parallel.Blocks(0, a.Rows, mulRows)
 	} else {
 		mulRows(0, a.Rows)
@@ -189,7 +190,7 @@ func PairwiseSqDist(a, b *Dense) *Dense {
 			SqDistInto(out.Row(i), a.Row(i), b)
 		}
 	}
-	if work := a.Rows * a.Cols * b.Rows; work >= parallelFlops {
+	if work := a.Rows * a.Cols * b.Rows; work >= ParallelFlops {
 		parallel.Blocks(0, a.Rows, distRows)
 	} else {
 		distRows(0, a.Rows)

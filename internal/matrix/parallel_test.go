@@ -24,7 +24,7 @@ func naiveMul(a, b *Dense) *Dense {
 	return out
 }
 
-// 160^3 ≈ 4.1M flops, comfortably above parallelFlops, so these products
+// 160^3 ≈ 4.1M flops, comfortably above ParallelFlops, so these products
 // take the row-blocked path.
 func TestMulParallelMatchesSerial(t *testing.T) {
 	a := randomDense(160, 160, 1)
@@ -50,7 +50,7 @@ func TestMulABTParallelMatchesSerial(t *testing.T) {
 
 func TestCSRMulDenseParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	const n, nnz, cols = 500, 20000, 200 // nnz*cols = 4M > parallelFlops
+	const n, nnz, cols = 500, 20000, 200 // nnz*cols = 4M > ParallelFlops
 	rIdx := make([]int, nnz)
 	cIdx := make([]int, nnz)
 	vals := make([]float64, nnz)

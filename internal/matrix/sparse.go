@@ -131,7 +131,7 @@ func (m *CSR) MulDense(d *Dense) *Dense {
 			}
 		}
 	}
-	if work := m.NNZ() * d.Cols; work >= parallelFlops {
+	if work := m.NNZ() * d.Cols; work >= ParallelFlops {
 		parallel.Blocks(0, m.NumRows, mulRows)
 	} else {
 		mulRows(0, m.NumRows)

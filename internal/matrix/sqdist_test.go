@@ -42,7 +42,7 @@ func TestPairwiseSqDistMatchesNaive(t *testing.T) {
 }
 
 func TestPairwiseSqDistParallelIdentical(t *testing.T) {
-	// 128*128*128 = 2^21 = parallelFlops: exactly at the row-blocked gate.
+	// 128*128*128 = 2^21 = ParallelFlops: exactly at the row-blocked gate.
 	// The parallel result must be bitwise identical to the naive serial loop.
 	rng := rand.New(rand.NewSource(4))
 	a, b := NewDense(128, 128), NewDense(128, 128)

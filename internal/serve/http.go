@@ -446,34 +446,27 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 
-	idx := 0
+	idx, closed := 0, false
 	for {
 		events, changed := j.log.since(idx)
 		for _, e := range events {
 			if err := enc.Encode(e); err != nil {
 				return
 			}
+			// finalize appends this terminal job_status to every job's log.
+			closed = closed || e.Type == "job_status" && Status(e.Name).Terminal()
 		}
 		idx += len(events)
 		if flusher != nil && len(events) > 0 {
 			flusher.Flush()
 		}
-		if !follow {
+		// The job turns terminal just before finalize appends the closing
+		// event, so the stream ends on that event, not on j.Done().
+		if !follow || closed {
 			return
-		}
-		// Drain-then-check: once the job is terminal, its finalize event has
-		// already been appended, so an empty read after terminal means done.
-		select {
-		case <-j.Done():
-			if events, _ := j.log.since(idx); len(events) == 0 {
-				return
-			}
-			continue
-		default:
 		}
 		select {
 		case <-changed:
-		case <-j.Done():
 		case <-r.Context().Done():
 			return
 		}
