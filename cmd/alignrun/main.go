@@ -6,21 +6,34 @@
 //	alignrun -algo CONE -src a.edges -dst b.edges [-assign JV] [-truth truth.txt]
 //
 // The mapping is printed one "srcLabel dstLabel" pair per line on stdout;
-// metrics go to stderr. When -truth is given (lines of "src dst" dense
-// ids), accuracy is reported as well.
+// metrics go to stderr. When -truth is given, accuracy is reported as well.
+// The truth file holds one "srcLabel dstLabel" line per source node, the
+// node labels as they appear in the -src and -dst edge lists — exactly
+// what `graphgen -perturb -truth` writes.
+//
+// Every run except -edits is one core.RunInstanceMapped call built from
+// the flags, the same run the experiment drivers and the alignd daemon
+// make, so the printed mapping and scores equal theirs.
 //
 // -trace-out run.jsonl streams structured span events (a run span with
-// similarity/assign phases plus the algorithm's inner phases) as JSONL,
-// ready for `alignstat summary`; tracing never changes the alignment.
+// similarity/assign/metrics phases plus the algorithm's inner phases) as
+// JSONL, ready for `alignstat summary`; tracing never changes the
+// alignment.
+//
+// -topk K (K > 0) routes the assignment through the sparse candidate
+// pipeline: each similarity row is reduced to its top-K candidates (the
+// embedding- and factor-producing aligners never materialize the dense
+// matrix) and solved by the ε-scaling auction, with an exact dense-JV
+// fallback when the candidates leave rows unmatchable. 0 = dense.
 //
 // -partitions K (K >= 2) routes the run through the partition-align-stitch
 // sharding layer: the graphs are co-partitioned into K matched cluster
 // pairs, each pair is aligned independently across -workers goroutines with
 // a fresh aligner instance, and the shard mappings are stitched with an
-// auction-based boundary-refinement pass. Combine with -topk to keep the
-// per-shard assignment sparse. This is what makes n=100k alignments fit in
-// commodity memory (see DESIGN.md §15); 0 = off, byte-identical to the
-// monolithic path.
+// auction-based boundary-refinement pass. With -topk, every shard's
+// assignment runs the sparse pipeline. This is what makes n=100k
+// alignments fit in commodity memory (see DESIGN.md §15); 0 = off,
+// byte-identical to the monolithic path.
 //
 // -edits stream.edits replays an evolving-graph workload (DESIGN.md §16):
 // the pair is cold-aligned once, then each blank-line-separated batch of
@@ -40,13 +53,15 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"graphalign"
+	"graphalign/internal/core"
 	"graphalign/internal/graph"
 	"graphalign/internal/incremental"
+	"graphalign/internal/noise"
 	"graphalign/internal/obsv"
-	"graphalign/internal/partition"
 )
 
 func main() {
@@ -55,12 +70,12 @@ func main() {
 		srcPath  = flag.String("src", "", "source graph edge list (required)")
 		dstPath  = flag.String("dst", "", "target graph edge list (required)")
 		method   = flag.String("assign", "", "assignment method NN, SG, MWM, JV (default: the algorithm's own)")
-		truthP   = flag.String("truth", "", "ground-truth file of 'src dst' dense-id lines")
+		truthP   = flag.String("truth", "", "ground-truth file of 'srcLabel dstLabel' lines (node labels as in -src and -dst)")
 		quiet    = flag.Bool("q", false, "suppress the mapping output, print only metrics")
 		traceOut = flag.String("trace-out", "", "write span events as JSONL to this file (alignstat summary input)")
 		parts    = flag.Int("partitions", 0, "partition-align-stitch sharding: co-partition into this many matched cluster pairs, align shards independently and stitch with boundary refinement; 0 = off (monolithic)")
-		topK     = flag.Int("topk", 0, "per-shard sparse assignment top-k (with -partitions: 0 = dense; with -edits: candidate list length, 0 = 10)")
-		workers  = flag.Int("workers", 0, "concurrent shards or refresh workers (0 = one per CPU)")
+		topK     = flag.Int("topk", 0, "sparse assignment: keep this many candidates per similarity row, per shard with -partitions (0 = dense; with -edits: candidate list length, 0 = 10)")
+		workers  = flag.Int("workers", 0, "concurrent shards, sparse-assignment or refresh workers (0 = one per CPU)")
 		edits    = flag.String("edits", "", "edit-stream file of blank-line-separated 'add u v'/'del u v' batches: replay incrementally against the target graph")
 		incrOut  = flag.String("incr-out", "", "write the incr_* metrics registry snapshot as JSON to this file (only with -edits)")
 		incrTol  = flag.Float64("incr-tol", 0, "incremental embedding-row change tolerance: 0 = bitwise, >0 = relative, <0 = refresh everything")
@@ -82,7 +97,15 @@ func main() {
 		fatal(err)
 	}
 
-	var tracer *graphalign.Tracer
+	var trueMap []int
+	if *truthP != "" {
+		trueMap, err = readTruth(*truthP, srcLabels, dstLabels)
+		if err != nil {
+			fatal(err)
+		}
+	}
+
+	var tracer *obsv.Tracer
 	var traceSink *obsv.WriterSink
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
@@ -105,20 +128,39 @@ func main() {
 
 	var mapping []int
 	var simTime, assignTime time.Duration
-	switch {
-	case *edits != "":
+	var scores graphalign.Scores
+	if *edits != "" {
 		if *parts >= 2 {
 			fatal(fmt.Errorf("-edits and -partitions are mutually exclusive"))
 		}
 		mapping, dst, simTime, assignTime, err = alignIncremental(*algoName, src, dst,
 			*edits, *incrOut, *topK, *workers, *incrTol, *incrHops, *drift, tracer)
-	case *parts >= 2:
-		mapping, simTime, assignTime, err = alignPartitioned(*algoName, src, dst, graphalign.AssignMethod(*method), *parts, *topK, *workers, tracer)
-	default:
-		mapping, simTime, assignTime, err = graphalign.AlignTimedTraced(*algoName, src, dst, graphalign.AssignMethod(*method), tracer)
-	}
-	if err != nil {
-		fatal(err)
+		if err != nil {
+			fatal(err)
+		}
+		scores = graphalign.Evaluate(src, dst, mapping, trueMap)
+	} else {
+		a, err := graphalign.NewAligner(*algoName)
+		if err != nil {
+			fatal(err)
+		}
+		m := graphalign.AssignMethod(*method)
+		if m == "" {
+			m = a.DefaultAssignment()
+		}
+		var res core.RunResult
+		res, mapping = core.RunInstanceMapped(context.Background(), a,
+			noise.Pair{Source: src, Target: dst, TrueMap: trueMap}, m, core.RunSpec{
+				Tracer:     tracer,
+				AssignTopK: *topK,
+				Workers:    *workers,
+				Partitions: *parts,
+				NewAligner: func() (graphalign.Aligner, error) { return graphalign.NewAligner(*algoName) },
+			})
+		if res.Err != nil {
+			fatal(res.Err)
+		}
+		simTime, assignTime, scores = res.SimilarityTime, res.AssignTime, res.Scores
 	}
 	if traceSink != nil {
 		if werr := traceSink.Err(); werr != nil {
@@ -126,15 +168,6 @@ func main() {
 		}
 	}
 	elapsed := simTime + assignTime
-
-	var trueMap []int
-	if *truthP != "" {
-		trueMap, err = readTruth(*truthP, src.N())
-		if err != nil {
-			fatal(err)
-		}
-	}
-	scores := graphalign.Evaluate(src, dst, mapping, trueMap)
 
 	if !*quiet {
 		w := bufio.NewWriter(os.Stdout)
@@ -157,31 +190,12 @@ func main() {
 	fmt.Fprintln(os.Stderr)
 }
 
-// alignPartitioned runs the sharded path: a fresh aligner per shard (the
-// shards run concurrently, so they cannot share one instance's state), the
-// algorithm's own default assignment when none was requested, and the
-// partition layer's AlignTime/StitchTime reported in place of the monolithic
-// similarity/assignment split.
-func alignPartitioned(name string, src, dst *graphalign.Graph, method graphalign.AssignMethod, parts, topK, workers int, tracer *graphalign.Tracer) ([]int, time.Duration, time.Duration, error) {
-	if method == "" {
-		a, err := graphalign.NewAligner(name)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		method = a.DefaultAssignment()
-	}
-	mapping, stats, err := partition.Align(context.Background(),
-		func() (graphalign.Aligner, error) { return graphalign.NewAligner(name) },
-		src, dst, method, partition.Options{K: parts, Workers: workers, TopK: topK, Tracer: tracer})
-	return mapping, stats.AlignTime, stats.StitchTime, err
-}
-
 // alignIncremental replays an edit-stream file against the target graph:
 // cold-align once (reported as the similarity time), then apply each batch
 // with warm-started re-alignment (the summed apply time is reported as the
 // assignment time). Returns the final mapping and the final edited target,
 // which is what the printed metrics must be scored against.
-func alignIncremental(name string, src, dst *graphalign.Graph, editsPath, incrOut string, topK, workers int, tol float64, hops int, drift float64, tracer *graphalign.Tracer) ([]int, *graphalign.Graph, time.Duration, time.Duration, error) {
+func alignIncremental(name string, src, dst *graphalign.Graph, editsPath, incrOut string, topK, workers int, tol float64, hops int, drift float64, tracer *obsv.Tracer) ([]int, *graphalign.Graph, time.Duration, time.Duration, error) {
 	f, err := os.Open(editsPath)
 	if err != nil {
 		return nil, nil, 0, 0, err
@@ -245,23 +259,44 @@ func alignIncremental(name string, src, dst *graphalign.Graph, editsPath, incrOu
 	return sess.Mapping(), sess.Target(), simTime, assignTime, nil
 }
 
-func readTruth(path string, n int) ([]int, error) {
+// readTruth reads a ground-truth file of "srcLabel dstLabel" lines into
+// dense ids of the loaded graphs: out[u] is the target node source node u
+// truly corresponds to, -1 where the file gives none. A source label the
+// -src edge list lacks is an error (the file belongs to another pair); a
+// target label the -dst edge list lacks leaves its source node without
+// truth, since noise can strip a target node of every edge.
+func readTruth(path string, srcLabels, dstLabels []string) ([]int, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	out := make([]int, n)
+	srcID := make(map[string]int, len(srcLabels))
+	for u, l := range srcLabels {
+		srcID[l] = u
+	}
+	dstID := make(map[string]int, len(dstLabels))
+	for v, l := range dstLabels {
+		dstID[l] = v
+	}
+	out := make([]int, len(srcLabels))
 	for i := range out {
 		out[i] = -1
 	}
 	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		var u, v int
-		if _, err := fmt.Sscan(sc.Text(), &u, &v); err != nil {
+	for line := 1; sc.Scan(); line++ {
+		fields := strings.Fields(sc.Text())
+		if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
 			continue
 		}
-		if u >= 0 && u < n {
+		if len(fields) != 2 {
+			return nil, fmt.Errorf("truth %s:%d: want 'srcLabel dstLabel', got %q", path, line, sc.Text())
+		}
+		u, ok := srcID[fields[0]]
+		if !ok {
+			return nil, fmt.Errorf("truth %s:%d: source label %q not in -src", path, line, fields[0])
+		}
+		if v, ok := dstID[fields[1]]; ok {
 			out[u] = v
 		}
 	}

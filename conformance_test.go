@@ -75,10 +75,12 @@ func TestPartitionOffIdentity(t *testing.T) {
 				return a
 			}
 			p := algotest.Pair(t, n, 0.02, 31337)
-			want, err := algo.Align(mk(), p.Source, p.Target, assign.JonkerVolgenant)
+			mono, err := algo.Run(context.Background(), mk(), p.Source, p.Target,
+				algo.Request{Method: assign.JonkerVolgenant})
 			if err != nil {
 				t.Fatal(err)
 			}
+			want := mono.Mapping
 			for _, parts := range []int{0, 1} {
 				res, got := core.RunInstanceMapped(context.Background(), mk(), p,
 					assign.JonkerVolgenant, core.RunSpec{Partitions: parts})

@@ -37,7 +37,6 @@ import (
 	"graphalign/internal/graph"
 	"graphalign/internal/metrics"
 	"graphalign/internal/multi"
-	"graphalign/internal/obsv"
 )
 
 // Graph re-exports the graph type used throughout the public API.
@@ -174,57 +173,29 @@ func NewAligner(name string) (Aligner, error) {
 }
 
 // Align aligns src to dst with the named algorithm and the given assignment
-// method; mapping[u] is the dst node aligned to src node u.
+// method; mapping[u] is the dst node aligned to src node u. An empty method
+// selects the algorithm's author-proposed assignment.
 func Align(name string, src, dst *Graph, method AssignMethod) ([]int, error) {
-	a, err := NewAligner(name)
-	if err != nil {
-		return nil, err
-	}
-	return algo.Align(a, src, dst, method)
+	mapping, _, _, err := AlignTimed(name, src, dst, method)
+	return mapping, err
 }
 
 // AlignDefault aligns with the algorithm's author-proposed assignment
 // method (Table 1's Assign column).
 func AlignDefault(name string, src, dst *Graph) ([]int, error) {
-	a, err := NewAligner(name)
-	if err != nil {
-		return nil, err
-	}
-	return algo.AlignDefault(a, src, dst)
+	return Align(name, src, dst, "")
 }
 
 // AlignTimed is Align reporting how the runtime splits between the
 // similarity computation and the assignment step (the paper's runtime
-// figures exclude assignment). An empty method selects the algorithm's
-// author-proposed assignment.
+// figures exclude assignment).
 func AlignTimed(name string, src, dst *Graph, method AssignMethod) (mapping []int, simTime, assignTime time.Duration, err error) {
 	a, err := NewAligner(name)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	if method == "" {
-		method = a.DefaultAssignment()
-	}
-	return algo.AlignTimed(a, src, dst, method)
-}
-
-// Tracer re-exports the observability tracer so CLI callers can stream
-// span events without importing the internal package. A nil *Tracer is
-// valid and fully disabled.
-type Tracer = obsv.Tracer
-
-// AlignTimedTraced is AlignTimed emitting structured span events (a run
-// span with similarity/assign phases, plus the algorithm's inner phases)
-// through tr. A nil tracer makes it exactly AlignTimed.
-func AlignTimedTraced(name string, src, dst *Graph, method AssignMethod, tr *Tracer) (mapping []int, simTime, assignTime time.Duration, err error) {
-	a, err := NewAligner(name)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	if method == "" {
-		method = a.DefaultAssignment()
-	}
-	return algo.AlignObservedTimedCtx(context.Background(), a, src, dst, method, tr)
+	res, err := algo.Run(context.Background(), a, src, dst, algo.Request{Method: method})
+	return res.Mapping, res.SimTime, res.AssignTime, err
 }
 
 // Evaluate computes all five quality measures of the study for a mapping;

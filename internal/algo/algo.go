@@ -145,172 +145,144 @@ func ApplyCache(a Aligner, c *cache.Cache) {
 	}
 }
 
-// Align runs a full alignment: similarity followed by the requested
-// assignment method. Nearest-neighbor extractions are restricted to
-// one-to-one outputs, as the paper does for comparability.
-func Align(a Aligner, src, dst *graph.Graph, method assign.Method) ([]int, error) {
-	mapping, _, _, err := AlignTimed(a, src, dst, method)
-	return mapping, err
+// Request configures one alignment stage (Run). The zero value is a dense
+// run with the aligner's own assignment method, untraced.
+type Request struct {
+	// Method is the assignment method; empty selects a.DefaultAssignment().
+	Method assign.Method
+	// TopK, when positive, routes the assignment through the sparse
+	// candidate pipeline: the similarity is reduced to per-row top-k
+	// candidates — via k-NN over raw embeddings for EmbeddingAligners, via
+	// factor-space scoring for FactorAligners (neither materializes the
+	// dense matrix), via bounded-heap row selection otherwise — and solved
+	// by the sparse variant of Method (exact methods map to the ε-scaling
+	// auction, with a dense-JV fallback when the candidate graph leaves
+	// rows unmatchable; see assign.SolveSparse). Zero keeps the dense
+	// solvers.
+	TopK int
+	// Workers bounds the sparse pipeline's parallel fan-out (candidate
+	// generation and auction bidding); 0 means one per CPU. Results are
+	// identical for any value.
+	Workers int
+	// Span, when non-nil, is the enclosing run span: the "similarity" and
+	// "assign" stages become phases under it.
+	Span *obsv.Span
+	// Registry receives the assignment-stage series (lap_solve_size and,
+	// on sparse runs, assign_candidates_per_row, assign_auction_rounds,
+	// assign_fallbacks_total); nil disables them.
+	Registry *obsv.Registry
 }
 
-// AlignCtx is Align under a context: cancellation or deadline expiry aborts
-// the similarity iteration cooperatively and surfaces the context error.
-func AlignCtx(ctx context.Context, a Aligner, src, dst *graph.Graph, method assign.Method) ([]int, error) {
-	mapping, _, _, err := AlignTimedCtx(ctx, a, src, dst, method)
-	return mapping, err
+// Result is what one alignment stage produced.
+type Result struct {
+	// Mapping[u] is the dst node aligned to src node u (-1 = unmatched).
+	Mapping []int
+	// SimTime is the similarity computation alone — the paper's runtime
+	// figures exclude assignment. On sparse runs over a factored form it
+	// times producing the embeddings or factors.
+	SimTime time.Duration
+	// AssignTime is the assignment step, candidate generation included.
+	AssignTime time.Duration
+	// Stats reports what the sparse pipeline did (zero on dense runs).
+	Stats assign.SparseStats
 }
 
-// AlignTimed is Align reporting how the runtime splits between the
-// similarity computation and the assignment step — the distinction the
-// paper's runtime figures are built on (they exclude assignment).
-func AlignTimed(a Aligner, src, dst *graph.Graph, method assign.Method) (mapping []int, simTime, assignTime time.Duration, err error) {
-	return AlignTimedCtx(context.Background(), a, src, dst, method)
-}
-
-// AlignTimedCtx is AlignTimed under a context. The context is threaded into
-// ContextAligner similarity loops and checked between pipeline stages; the
-// assignment solvers themselves run to completion (they are polynomial in
-// the already-computed similarity matrix, never the hanging stage).
-func AlignTimedCtx(ctx context.Context, a Aligner, src, dst *graph.Graph, method assign.Method) (mapping []int, simTime, assignTime time.Duration, err error) {
+// Run is the alignment stage every entry point drives: the similarity
+// stage followed by the assignment step, the factoring the paper reduces
+// every method to (Section 3). Nearest-neighbor extractions are restricted
+// to one-to-one outputs, as the paper does for comparability. ctx is
+// threaded into ContextAligner similarity loops and checked once the
+// similarity stage returns; the assignment solvers run to completion (they
+// are polynomial in the already-computed similarity, never the hanging
+// stage).
+func Run(ctx context.Context, a Aligner, src, dst *graph.Graph, req Request) (Result, error) {
+	var res Result
 	if src.N() > dst.N() {
-		return nil, 0, 0, fmt.Errorf("algo: source graph larger than target (%d > %d)", src.N(), dst.N())
+		return res, fmt.Errorf("algo: source graph larger than target (%d > %d)", src.N(), dst.N())
 	}
-	t0 := time.Now()
-	sim, err := Similarity(ctx, a, src, dst)
-	simTime = time.Since(t0)
-	if err != nil {
-		return nil, simTime, 0, fmt.Errorf("algo: %s similarity: %w", a.Name(), err)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, simTime, 0, fmt.Errorf("algo: %s similarity: %w", a.Name(), err)
-	}
-	t1 := time.Now()
-	mapping, err = assign.Solve(method, sim)
-	if err != nil {
-		return nil, simTime, time.Since(t1), fmt.Errorf("algo: %s assignment: %w", a.Name(), err)
-	}
-	if method == assign.NearestNeighbor {
-		mapping = assign.EnforceOneToOne(sim, mapping)
-	}
-	assignTime = time.Since(t1)
-	return mapping, simTime, assignTime, nil
-}
-
-// AlignObservedTimedCtx is AlignTimedCtx wrapped in an observability run:
-// a run span for the whole alignment with "similarity" and "assign" phase
-// spans inside, plus the aligner's own inner phases when it implements
-// Instrumented. A nil tracer degrades to exactly AlignTimedCtx — every obsv
-// call no-ops — so callers wire it unconditionally.
-func AlignObservedTimedCtx(ctx context.Context, a Aligner, src, dst *graph.Graph, method assign.Method, tr *obsv.Tracer) (mapping []int, simTime, assignTime time.Duration, err error) {
-	if src.N() > dst.N() {
-		return nil, 0, 0, fmt.Errorf("algo: source graph larger than target (%d > %d)", src.N(), dst.N())
-	}
-	run := tr.StartRun(a.Name(), map[string]any{
-		"assign": string(method),
-		"n_src":  src.N(),
-		"n_dst":  dst.N(),
-	})
-	if inst, ok := a.(Instrumented); ok {
-		inst.SetSpan(run)
-	}
-	endErr := func(err error) error {
-		run.Set("err", err.Error())
-		run.End()
-		return err
+	method := req.Method
+	if method == "" {
+		method = a.DefaultAssignment()
 	}
 
-	sp := run.Phase("similarity")
+	// Similarity stage. With the sparse pipeline on and an aligner that can
+	// expose embeddings or explicit low-rank factors, the dense matrix is
+	// never materialized: the stage produces the factored form instead.
+	sparse := req.TopK > 0
+	ea, useEmb := a.(EmbeddingAligner)
+	fa, useFac := a.(FactorAligner)
+	useEmb = sparse && useEmb
+	useFac = sparse && !useEmb && useFac
+	var (
+		sim *matrix.Dense
+		emb *assign.Embedding
+		fac *assign.FactorEmbedding
+		err error
+	)
+	sp := req.Span.Phase("similarity")
 	t0 := time.Now()
-	sim, err := Similarity(ctx, a, src, dst)
-	simTime = time.Since(t0)
+	switch {
+	case useEmb:
+		sp.Set("factored", true)
+		emb, err = ea.EmbeddingsCtx(ctx, src, dst)
+	case useFac:
+		sp.Set("factored", true)
+		fac, err = fa.FactorsCtx(ctx, src, dst)
+	default:
+		sim, err = Similarity(ctx, a, src, dst)
+	}
+	res.SimTime = time.Since(t0)
 	sp.End()
-	if err != nil {
-		return nil, simTime, 0, endErr(fmt.Errorf("algo: %s similarity: %w", a.Name(), err))
+	if err == nil {
+		err = ctx.Err()
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, simTime, 0, endErr(fmt.Errorf("algo: %s similarity: %w", a.Name(), err))
+	if err != nil {
+		return res, fmt.Errorf("algo: %s similarity: %w", a.Name(), err)
 	}
 
-	sp = run.Phase("assign")
+	sp = req.Span.Phase("assign")
 	sp.Set("method", string(method))
+	sp.Set("size", src.N())
+	req.Registry.Histogram("lap_solve_size", obsv.SizeBuckets()).Observe(float64(src.N()))
 	t1 := time.Now()
-	mapping, err = assign.Solve(method, sim)
-	if err != nil {
-		sp.End()
-		return nil, simTime, time.Since(t1), endErr(fmt.Errorf("algo: %s assignment: %w", a.Name(), err))
-	}
-	if method == assign.NearestNeighbor {
-		mapping = assign.EnforceOneToOne(sim, mapping)
-	}
-	assignTime = time.Since(t1)
-	sp.End()
-	run.End()
-	return mapping, simTime, assignTime, nil
-}
-
-// AlignSparseTimedCtx is AlignTimedCtx through the sparse assignment
-// pipeline: the similarity is reduced to per-row top-k candidates — via k-NN
-// over raw embeddings for EmbeddingAligners, via factor-space scoring for
-// FactorAligners (neither materializes the dense matrix), via bounded-heap
-// row selection otherwise — and solved by the sparse variant of the
-// requested method (exact methods map to the ε-scaling auction, with a
-// dense-JV fallback when the candidate graph leaves rows unmatchable; see
-// assign.SolveSparse). topk <= 0 keeps every column. Candidate generation is
-// accounted to assignTime: simTime keeps the paper's meaning of "similarity
-// computation only".
-func AlignSparseTimedCtx(ctx context.Context, a Aligner, src, dst *graph.Graph, method assign.Method, topk, workers int) (mapping []int, simTime, assignTime time.Duration, stats assign.SparseStats, err error) {
-	if src.N() > dst.N() {
-		return nil, 0, 0, stats, fmt.Errorf("algo: source graph larger than target (%d > %d)", src.N(), dst.N())
-	}
-	var cands *assign.Candidates
-	var dense func() *matrix.Dense
-	if ea, ok := a.(EmbeddingAligner); ok {
-		t0 := time.Now()
-		emb, eerr := ea.EmbeddingsCtx(ctx, src, dst)
-		simTime = time.Since(t0)
-		if eerr != nil {
-			return nil, simTime, 0, stats, fmt.Errorf("algo: %s embeddings: %w", a.Name(), eerr)
+	if sparse {
+		sp.Set("topk", req.TopK)
+		var cands *assign.Candidates
+		var dense func() *matrix.Dense
+		switch {
+		case useEmb:
+			cands = assign.TopKEmbedding(emb, req.TopK, req.Workers)
+			dense = emb.Similarity
+		case useFac:
+			cands = assign.TopKFactor(fac, req.TopK, req.Workers)
+			dense = fac.Similarity
+		default:
+			cands = assign.TopKDense(sim, req.TopK, req.Workers)
+			dense = func() *matrix.Dense { return sim }
 		}
-		t1 := time.Now()
-		cands = assign.TopKEmbedding(emb, topk, workers)
-		dense = emb.Similarity
-		defer func() { assignTime += time.Since(t1) }()
-	} else if fa, ok := a.(FactorAligner); ok {
-		t0 := time.Now()
-		fac, ferr := fa.FactorsCtx(ctx, src, dst)
-		simTime = time.Since(t0)
-		if ferr != nil {
-			return nil, simTime, 0, stats, fmt.Errorf("algo: %s factors: %w", a.Name(), ferr)
+		res.Mapping, res.Stats, err = assign.SolveSparse(method, cands, dense, req.Workers)
+		if err == nil {
+			req.Registry.Histogram("assign_candidates_per_row", obsv.SizeBuckets()).Observe(float64(res.Stats.CandidatesPerRow))
+			req.Registry.Histogram("assign_auction_rounds", obsv.SizeBuckets()).Observe(float64(res.Stats.Rounds))
+			sp.Set("auction_rounds", res.Stats.Rounds)
+			if res.Stats.FellBack {
+				req.Registry.Counter("assign_fallbacks_total").Add(1)
+				sp.Set("fallback", true)
+			}
 		}
-		t1 := time.Now()
-		cands = assign.TopKFactor(fac, topk, workers)
-		dense = fac.Similarity
-		defer func() { assignTime += time.Since(t1) }()
 	} else {
-		t0 := time.Now()
-		sim, serr := Similarity(ctx, a, src, dst)
-		simTime = time.Since(t0)
-		if serr != nil {
-			return nil, simTime, 0, stats, fmt.Errorf("algo: %s similarity: %w", a.Name(), serr)
+		res.Mapping, err = assign.Solve(method, sim)
+		if err == nil && method == assign.NearestNeighbor {
+			res.Mapping = assign.EnforceOneToOne(sim, res.Mapping)
 		}
-		t1 := time.Now()
-		cands = assign.TopKDense(sim, topk, workers)
-		dense = func() *matrix.Dense { return sim }
-		defer func() { assignTime += time.Since(t1) }()
 	}
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, simTime, 0, stats, fmt.Errorf("algo: %s similarity: %w", a.Name(), cerr)
-	}
-	mapping, stats, err = assign.SolveSparse(method, cands, dense, workers)
+	res.AssignTime = time.Since(t1)
+	sp.End()
 	if err != nil {
-		return nil, simTime, assignTime, stats, fmt.Errorf("algo: %s sparse assignment: %w", a.Name(), err)
+		res.Mapping = nil
+		return res, fmt.Errorf("algo: %s assignment: %w", a.Name(), err)
 	}
-	return mapping, simTime, assignTime, stats, nil
-}
-
-// AlignDefault runs Align with the algorithm's author-proposed assignment.
-func AlignDefault(a Aligner, src, dst *graph.Graph) ([]int, error) {
-	return Align(a, src, dst, a.DefaultAssignment())
+	return res, nil
 }
 
 // DegreePrior computes the paper's degree-based prior similarity

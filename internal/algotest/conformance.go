@@ -182,11 +182,11 @@ func CheckSelfAlignment(t *testing.T, a algo.Aligner, n int, minAcc float64) {
 	for i := range identity {
 		identity[i] = i
 	}
-	mapping, err := algo.Align(a, base, base, assign.JonkerVolgenant)
+	res, err := algo.Run(context.Background(), a, base, base, algo.Request{Method: assign.JonkerVolgenant})
 	if err != nil {
 		t.Fatalf("%s: self-alignment failed: %v", a.Name(), err)
 	}
-	if acc := metrics.Accuracy(mapping, identity); acc < minAcc {
+	if acc := metrics.Accuracy(res.Mapping, identity); acc < minAcc {
 		t.Errorf("%s: self-alignment accuracy %.3f < %.3f", a.Name(), acc, minAcc)
 	}
 }
@@ -232,12 +232,12 @@ func CheckSparseSelfAlignment(t *testing.T, a algo.Aligner, n, topk int, minAcc 
 	for i := range identity {
 		identity[i] = i
 	}
-	mapping, _, _, _, err := algo.AlignSparseTimedCtx(context.Background(), a, base, base,
-		assign.JonkerVolgenant, topk, 1)
+	res, err := algo.Run(context.Background(), a, base, base,
+		algo.Request{Method: assign.JonkerVolgenant, TopK: topk, Workers: 1})
 	if err != nil {
 		t.Fatalf("%s: sparse self-alignment failed: %v", a.Name(), err)
 	}
-	if acc := metrics.Accuracy(mapping, identity); acc < minAcc {
+	if acc := metrics.Accuracy(res.Mapping, identity); acc < minAcc {
 		t.Errorf("%s: sparse self-alignment accuracy %.3f < %.3f", a.Name(), acc, minAcc)
 	}
 }

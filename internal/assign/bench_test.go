@@ -65,7 +65,7 @@ func benchSolve(b *testing.B, name string, sim *matrix.Dense, solve func(*matrix
 
 func BenchmarkAuctionPipeline(b *testing.B) {
 	// Candidate generation + auction solve: the full sparse assignment stage
-	// as RunInstanceSpec executes it for a non-embedding aligner.
+	// as algo.Run executes it for a non-embedding aligner.
 	for _, n := range benchSizes() {
 		sim := randomSim(n, n, int64(n))
 		b.Run(fmt.Sprintf("n%d/k16", n), func(b *testing.B) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -40,6 +41,12 @@ func testOptions() Options {
 	return o
 }
 
+// runOne is RunInstanceMapped for tests that only need the run result.
+func runOne(a algo.Aligner, p noise.Pair, method assign.Method, spec RunSpec) RunResult {
+	res, _ := RunInstanceMapped(context.Background(), a, p, method, spec)
+	return res
+}
+
 func smallPair(t *testing.T) noise.Pair {
 	t.Helper()
 	rng := rand.New(rand.NewSource(5))
@@ -53,7 +60,7 @@ func smallPair(t *testing.T) noise.Pair {
 
 func TestRunInstance(t *testing.T) {
 	p := smallPair(t)
-	res := RunInstance(isorank.New(), p, assign.JonkerVolgenant)
+	res := runOne(isorank.New(), p, assign.JonkerVolgenant, RunSpec{})
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
@@ -70,7 +77,7 @@ func TestRunInstance(t *testing.T) {
 
 func TestRunInstanceNNOneToOne(t *testing.T) {
 	p := smallPair(t)
-	res := RunInstance(isorank.New(), p, assign.NearestNeighbor)
+	res := runOne(isorank.New(), p, assign.NearestNeighbor, RunSpec{})
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}

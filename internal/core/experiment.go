@@ -53,7 +53,7 @@ type Options struct {
 	// scheduling order.
 	Workers int
 	// MemProfile serializes runs and measures per-run allocation deltas
-	// (RunInstanceProfiled), populating RunResult.AllocBytes at the cost
+	// (the profiled run mode), populating RunResult.AllocBytes at the cost
 	// of parallelism. The memory experiments (Figures 13-14) set it; leave
 	// it false for pure quality/runtime experiments.
 	MemProfile bool
@@ -468,7 +468,7 @@ func runInstances(opts Options, cell, label string, build func(i int) (algo.Alig
 					return sa, err
 				}
 			}
-			runs[i] = RunInstanceSpec(ctx, a, pairs[i], method, spec)
+			runs[i], _ = RunInstanceMapped(ctx, a, pairs[i], method, spec)
 		}
 		// A run cut short by grid-wide cancellation (as opposed to its own
 		// budget) is incomplete, not failed: leave it out of the journal so a

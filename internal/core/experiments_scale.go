@@ -90,7 +90,7 @@ func runScalability(opts Options, byNodes, memory bool) (*Table, error) {
 	if memory {
 		valueCol = "mem"
 		// AllocBytes is only meaningful when runs are serialized and
-		// profiled; see RunInstanceProfiled.
+		// profiled; see Options.MemProfile.
 		opts.MemProfile = true
 	}
 	var xs []int

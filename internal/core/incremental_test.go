@@ -90,7 +90,7 @@ func TestRunInstanceIncrementalEmptyStreamMatchesCold(t *testing.T) {
 // classified run error, not a panic.
 func TestRunInstanceIncrementalDenseOnly(t *testing.T) {
 	p := smallPair(t)
-	res := RunInstanceSpec(context.Background(), isorank.New(), p, "",
+	res := runOne(isorank.New(), p, "",
 		RunSpec{AssignTopK: 10, Incremental: &IncrementalSpec{}})
 	if res.Err == nil {
 		t.Fatal("expected error for dense-only aligner in incremental mode")

@@ -18,7 +18,7 @@ import (
 func TestRunInstanceSpecSparseDense(t *testing.T) {
 	p := smallPair(t)
 	for _, method := range []assign.Method{assign.JonkerVolgenant, assign.NearestNeighbor, assign.SortGreedy} {
-		res := RunInstanceSpec(context.Background(), isorank.New(), p, method,
+		res := runOne(isorank.New(), p, method,
 			RunSpec{AssignTopK: 10})
 		if res.Err != nil {
 			t.Fatalf("%s: %v", method, res.Err)
@@ -46,7 +46,7 @@ func TestRunInstanceSpecSparseEmbedding(t *testing.T) {
 	if _, ok := a.(algo.EmbeddingAligner); !ok {
 		t.Fatal("REGAL must implement algo.EmbeddingAligner")
 	}
-	res := RunInstanceSpec(context.Background(), a, p, assign.JonkerVolgenant,
+	res := runOne(a, p, assign.JonkerVolgenant,
 		RunSpec{AssignTopK: 10})
 	if res.Err != nil {
 		t.Fatal(res.Err)
@@ -68,12 +68,12 @@ func TestRunInstanceSpecSparseFactored(t *testing.T) {
 		if _, ok := a.(algo.FactorAligner); !ok {
 			t.Fatalf("%s must implement algo.FactorAligner", a.Name())
 		}
-		res := RunInstanceSpec(context.Background(), a, p, assign.JonkerVolgenant,
+		res := runOne(a, p, assign.JonkerVolgenant,
 			RunSpec{AssignTopK: 10})
 		if res.Err != nil {
 			t.Fatalf("%s: %v", a.Name(), res.Err)
 		}
-		dense := RunInstanceSpec(context.Background(), a, p, assign.JonkerVolgenant, RunSpec{})
+		dense := runOne(a, p, assign.JonkerVolgenant, RunSpec{})
 		if dense.Err != nil {
 			t.Fatalf("%s dense: %v", a.Name(), dense.Err)
 		}
@@ -88,13 +88,13 @@ func TestRunInstanceSpecSparseFactored(t *testing.T) {
 // deterministic in the worker count.
 func TestRunInstanceSpecSparseMatchesAcrossWorkers(t *testing.T) {
 	p := smallPair(t)
-	ref := RunInstanceSpec(context.Background(), isorank.New(), p, assign.JonkerVolgenant,
+	ref := runOne(isorank.New(), p, assign.JonkerVolgenant,
 		RunSpec{AssignTopK: 10, Workers: 1})
 	if ref.Err != nil {
 		t.Fatal(ref.Err)
 	}
 	for _, workers := range []int{2, 4} {
-		res := RunInstanceSpec(context.Background(), isorank.New(), p, assign.JonkerVolgenant,
+		res := runOne(isorank.New(), p, assign.JonkerVolgenant,
 			RunSpec{AssignTopK: 10, Workers: workers})
 		if res.Err != nil {
 			t.Fatal(res.Err)
@@ -108,16 +108,26 @@ func TestRunInstanceSpecSparseMatchesAcrossWorkers(t *testing.T) {
 }
 
 // TestRunInstanceSpecZeroTopKUnchanged: AssignTopK=0 must reproduce the
-// dense pipeline exactly (the byte-identity contract the golden test checks
-// end to end).
+// dense pipeline exactly — the similarity matrix solved by the dense
+// solver, nothing in between (the byte-identity contract the golden test
+// checks end to end).
 func TestRunInstanceSpecZeroTopKUnchanged(t *testing.T) {
 	p := smallPair(t)
-	dense := RunInstance(isorank.New(), p, assign.JonkerVolgenant)
-	spec := RunInstanceSpec(context.Background(), isorank.New(), p, assign.JonkerVolgenant, RunSpec{})
-	if dense.Err != nil || spec.Err != nil {
-		t.Fatal(dense.Err, spec.Err)
+	sim, err := isorank.New().Similarity(p.Source, p.Target)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if dense.Scores != spec.Scores {
-		t.Fatalf("scores differ: %+v vs %+v", dense.Scores, spec.Scores)
+	want, err := assign.Solve(assign.JonkerVolgenant, sim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, got := RunInstanceMapped(context.Background(), isorank.New(), p, assign.JonkerVolgenant, RunSpec{})
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	for u := range want {
+		if got[u] != want[u] {
+			t.Fatalf("mapping[%d] = %d, dense solve gives %d", u, got[u], want[u])
+		}
 	}
 }

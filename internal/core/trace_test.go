@@ -173,7 +173,7 @@ func TestRunInstanceTracedSpans(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			sink := &eventSink{}
 			tr := obsv.New(sink).SetRegistry(obsv.NewRegistry())
-			res := RunInstanceTraced(tc.build(), pair, assign.JonkerVolgenant, tr)
+			res := runOne(tc.build(), pair, assign.JonkerVolgenant, RunSpec{Tracer: tr})
 			if res.Err != nil {
 				t.Fatal(res.Err)
 			}
@@ -226,9 +226,9 @@ func phaseNames(m map[string]obsv.Event) []string {
 // with and without a tracer, and no panic from the nil-span plumbing.
 func TestRunInstanceTracedNilTracer(t *testing.T) {
 	pair := tracePair(t, 60)
-	plain := RunInstance(isorank.New(), pair, assign.JonkerVolgenant)
-	traced := RunInstanceTraced(isorank.New(), pair, assign.JonkerVolgenant,
-		obsv.New(&eventSink{}))
+	plain := runOne(isorank.New(), pair, assign.JonkerVolgenant, RunSpec{})
+	traced := runOne(isorank.New(), pair, assign.JonkerVolgenant,
+		RunSpec{Tracer: obsv.New(&eventSink{})})
 	if plain.Err != nil || traced.Err != nil {
 		t.Fatal(plain.Err, traced.Err)
 	}
@@ -242,8 +242,8 @@ func TestRunCounters(t *testing.T) {
 	pair := tracePair(t, 60)
 	reg := obsv.NewRegistry()
 	tr := obsv.New().SetRegistry(reg)
-	RunInstanceTraced(isorank.New(), pair, assign.JonkerVolgenant, tr)
-	RunInstanceTraced(isorank.New(), pair, assign.JonkerVolgenant, tr)
+	runOne(isorank.New(), pair, assign.JonkerVolgenant, RunSpec{Tracer: tr})
+	runOne(isorank.New(), pair, assign.JonkerVolgenant, RunSpec{Tracer: tr})
 	if v := reg.Counter("runs_total").Value(); v != 2 {
 		t.Errorf("runs_total = %d, want 2", v)
 	}

@@ -11,6 +11,7 @@
 package multi
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -71,11 +72,6 @@ func AlignAll(a algo.Aligner, graphs []*graph.Graph, opts Options) (*Alignment, 
 				i, g.N(), ref, graphs[ref].N())
 		}
 	}
-	method := opts.Assign
-	if method == "" {
-		method = a.DefaultAssignment()
-	}
-
 	out := &Alignment{
 		Reference:   ref,
 		ToReference: make([][]int, len(graphs)),
@@ -85,11 +81,11 @@ func AlignAll(a algo.Aligner, graphs []*graph.Graph, opts Options) (*Alignment, 
 			out.ToReference[i] = graph.IdentityPermutation(g.N())
 			continue
 		}
-		mapping, err := algo.Align(a, g, graphs[ref], method)
+		res, err := algo.Run(context.Background(), a, g, graphs[ref], algo.Request{Method: opts.Assign})
 		if err != nil {
 			return nil, fmt.Errorf("multi: aligning graph %d to reference: %w", i, err)
 		}
-		out.ToReference[i] = mapping
+		out.ToReference[i] = res.Mapping
 	}
 
 	// Join through the reference: cluster key = reference node.

@@ -25,7 +25,7 @@ type Options struct {
 	// identical for any value.
 	Workers int
 	// TopK, when positive, routes each shard's assignment through the
-	// sparse candidate pipeline (algo.AlignSparseTimedCtx) instead of the
+	// sparse candidate pipeline (algo.Request.TopK) instead of the
 	// dense solvers — the composition that keeps large shards subquadratic.
 	TopK int
 	// ShardBudget bounds each shard's wall clock (0 = none). A shard over
@@ -186,12 +186,9 @@ func alignShard(ctx context.Context, mk func() (algo.Aligner, error), src, dst *
 	if err != nil {
 		return sm, err
 	}
-	var local []int
-	if opts.TopK > 0 {
-		local, _, _, _, err = algo.AlignSparseTimedCtx(ctx, a, sub1, sub2, method, opts.TopK, 1)
-	} else {
-		local, _, _, err = algo.AlignTimedCtx(ctx, a, sub1, sub2, method)
-	}
+	// Each shard runs untraced on one worker: the shard fan-out is the
+	// parallelism.
+	out, err := algo.Run(ctx, a, sub1, sub2, algo.Request{Method: method, TopK: opts.TopK, Workers: 1})
 	wall := time.Since(t0)
 	opts.Registry.Histogram("partition_shard_seconds", obsv.DurationBuckets()).Observe(wall.Seconds())
 	fields := map[string]any{"shard": i, "seconds": wall.Seconds()}
@@ -202,7 +199,7 @@ func alignShard(ctx context.Context, mk func() (algo.Aligner, error), src, dst *
 	if err != nil {
 		return sm, err
 	}
-	return ShardMapping{Src: srcIDs, Dst: dstIDs, Local: local}, nil
+	return ShardMapping{Src: srcIDs, Dst: dstIDs, Local: out.Mapping}, nil
 }
 
 // refine re-bids the cross-partition boundary nodes through the auction
